@@ -117,18 +117,14 @@ type Config struct {
 	SLOObjective float64
 }
 
-// Metrics aggregates the three timing components of Figure 9: query
-// translation time, backend execution time, and result transformation time.
+// Metrics holds the gateway's event counters; MetricsSnapshot derives the
+// Figure 9 timing split from the stage histograms.
 type Metrics struct {
-	translateNs int64
-	executeNs   int64
-	convertNs   int64
-	requests    int64
-	statements  int64
-	cacheHits   int64
-	cacheMisses int64
-	cacheBypass int64
-	cacheEvict  int64
+	requests   int64
+	statements int64
+	// cache counts translation-cache outcomes by wstats tier.
+	cache      [len(cacheOutcomes)]int64
+	cacheEvict int64
 
 	streamedResults   int64
 	bufferedResults   int64
@@ -141,6 +137,9 @@ type Metrics struct {
 
 // MetricsSnapshot is a point-in-time copy of the gateway metrics.
 type MetricsSnapshot struct {
+	// Translate, Execute and Convert are the Figure 9 components, summed
+	// from the stage histograms: Translate covers parse, cache, bind,
+	// transform and serialize.
 	Translate  time.Duration
 	Execute    time.Duration
 	Convert    time.Duration
@@ -279,15 +278,17 @@ func (g *Gateway) Target() *dialect.Profile { return g.cfg.Target }
 
 // MetricsSnapshot returns current cumulative metrics.
 func (g *Gateway) MetricsSnapshot() MetricsSnapshot {
+	st := g.stages
 	snap := MetricsSnapshot{
-		Translate:   time.Duration(atomic.LoadInt64(&g.metrics.translateNs)),
-		Execute:     time.Duration(atomic.LoadInt64(&g.metrics.executeNs)),
-		Convert:     time.Duration(atomic.LoadInt64(&g.metrics.convertNs)),
+		Translate: st.Total(metrics.StageParse) + st.Total(metrics.StageCache) + st.Total(metrics.StageBind) +
+			st.Total(metrics.StageTransform) + st.Total(metrics.StageSerialize),
+		Execute:     st.Total(metrics.StageExecute),
+		Convert:     st.Total(metrics.StageConvert),
 		Requests:    atomic.LoadInt64(&g.metrics.requests),
 		Statements:  atomic.LoadInt64(&g.metrics.statements),
-		CacheHits:   atomic.LoadInt64(&g.metrics.cacheHits),
-		CacheMisses: atomic.LoadInt64(&g.metrics.cacheMisses),
-		CacheBypass: atomic.LoadInt64(&g.metrics.cacheBypass),
+		CacheHits:   atomic.LoadInt64(&g.metrics.cache[wstats.TierExactHit]) + atomic.LoadInt64(&g.metrics.cache[wstats.TierFingerprintHit]),
+		CacheMisses: atomic.LoadInt64(&g.metrics.cache[wstats.TierMiss]),
+		CacheBypass: atomic.LoadInt64(&g.metrics.cache[wstats.TierBypass]),
 		CacheEvict:  atomic.LoadInt64(&g.metrics.cacheEvict),
 
 		StreamedResults:     atomic.LoadInt64(&g.metrics.streamedResults),
@@ -324,14 +325,11 @@ func (g *Gateway) SetQueryLog(w *querylog.Writer) { g.cfg.QueryLog = w }
 // ResetMetrics zeroes the counters, the stage histograms, and the trace ring
 // (between benchmark phases).
 func (g *Gateway) ResetMetrics() {
-	atomic.StoreInt64(&g.metrics.translateNs, 0)
-	atomic.StoreInt64(&g.metrics.executeNs, 0)
-	atomic.StoreInt64(&g.metrics.convertNs, 0)
 	atomic.StoreInt64(&g.metrics.requests, 0)
 	atomic.StoreInt64(&g.metrics.statements, 0)
-	atomic.StoreInt64(&g.metrics.cacheHits, 0)
-	atomic.StoreInt64(&g.metrics.cacheMisses, 0)
-	atomic.StoreInt64(&g.metrics.cacheBypass, 0)
+	for i := range g.metrics.cache {
+		atomic.StoreInt64(&g.metrics.cache[i], 0)
+	}
 	atomic.StoreInt64(&g.metrics.cacheEvict, 0)
 	atomic.StoreInt64(&g.metrics.streamedResults, 0)
 	atomic.StoreInt64(&g.metrics.bufferedResults, 0)
@@ -431,7 +429,8 @@ func (g *Gateway) startTrace(s *Session, sql string) *trace.Trace {
 
 // finishTrace stamps the request outcome onto the trace, feeds the request
 // and overhead histograms, publishes the trace to the ring, and appends the
-// query-log line. Runs once per Session.Run, traced or not.
+// query-log line. Runs once per Session.Run, traced or not; the histograms
+// and the statement statistics never depend on the trace.
 func (g *Gateway) finishTrace(s *Session, tr *trace.Trace, start time.Time, reqErr error) {
 	atomic.AddInt64(&s.obsRequests, 1)
 	atomic.StoreInt64(&s.lastActive, time.Now().UnixNano())
@@ -471,6 +470,10 @@ func (g *Gateway) finishTrace(s *Session, tr *trace.Trace, start time.Time, reqE
 		total = time.Since(start)
 	}
 	g.stages.Request.ObserveDuration(total)
+	// Requests that reached the backend feed the overhead distribution.
+	if exec := s.ro.stageNs[metrics.StageExecute]; total > 0 && exec > 0 {
+		g.stages.Overhead.Observe(max(1-float64(exec)/float64(total), 0))
+	}
 	if g.wstats != nil {
 		o := wstats.Obs{
 			DurNs:    int64(total),
@@ -493,13 +496,6 @@ func (g *Gateway) finishTrace(s *Session, tr *trace.Trace, start time.Time, reqE
 	}
 	if tr == nil {
 		return
-	}
-	if exec := tr.Stage("execute"); total > 0 && tr.BackendRequests > 0 {
-		overhead := 1 - float64(exec)/float64(total)
-		if overhead < 0 {
-			overhead = 0
-		}
-		g.stages.Overhead.Observe(overhead)
 	}
 	g.ring.Add(tr)
 	// Query-log write failures must not fail the data path.

@@ -16,6 +16,7 @@ import (
 
 	"hyperq/internal/dialect"
 	"hyperq/internal/engine"
+	"hyperq/internal/metrics"
 	"hyperq/internal/odbc"
 	"hyperq/internal/querylog"
 	"hyperq/internal/trace"
@@ -153,6 +154,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if n := metricValue(t, body, "hyperq_sessions_active"); n != 1 {
 		t.Errorf("sessions_active = %v, want 1", n)
 	}
+	checkDerivedTotals(t, g)
 
 	// /traces/slow: the 1ns threshold retains every statement with its full
 	// span tree and the rewritten SQL-B text.
@@ -381,7 +383,7 @@ func TestResetMetricsClearsObservability(t *testing.T) {
 	if n := g.Stages().Request.Snapshot().Count; n != 0 {
 		t.Errorf("request histogram count after reset = %d", n)
 	}
-	if n := g.Stages().Stage("parse").Snapshot().Count; n != 0 {
+	if n := g.Stages().Stage(metrics.StageParse).Snapshot().Count; n != 0 {
 		t.Errorf("parse histogram count after reset = %d", n)
 	}
 	if n := len(g.Traces().Recent()); n != 0 {
@@ -416,14 +418,83 @@ func TestTracingDisabled(t *testing.T) {
 	}
 	defer s.Close()
 	run(t, s, "SEL COUNT(*) FROM SALES")
+	run(t, s, "SEL COUNT(*) FROM SALES") // raw-cache hit
+	run(t, s, "SEL STORE FROM SALES WHERE STORE = 2")
 	if n := len(g.Traces().Recent()); n != 0 {
 		t.Errorf("traces recorded with tracing disabled: %d", n)
 	}
-	if g.Stages().Stage("parse").Snapshot().Count == 0 {
+	checkDerivedTotals(t, g)
+	if g.Stages().Stage(metrics.StageParse).Snapshot().Count == 0 {
 		t.Error("histograms must keep recording with tracing disabled")
 	}
 	if g.Stages().Request.Snapshot().Count == 0 {
 		t.Error("request histogram must keep recording with tracing disabled")
+	}
+}
+
+// checkDerivedTotals asserts the Figure 9 totals of MetricsSnapshot are the
+// stage-histogram sums: Translate over parse, cache, bind, transform and
+// serialize; Execute and Convert over their own stage.
+func checkDerivedTotals(t *testing.T, g *Gateway) {
+	t.Helper()
+	sum := func(stages ...metrics.Stage) time.Duration {
+		var secs float64
+		for _, st := range stages {
+			secs += g.Stages().Stage(st).Snapshot().Sum
+		}
+		return time.Duration(secs * float64(time.Second))
+	}
+	m := g.MetricsSnapshot()
+	for _, c := range []struct {
+		name      string
+		got, want time.Duration
+	}{
+		{"Translate", m.Translate, sum(metrics.StageParse, metrics.StageCache, metrics.StageBind, metrics.StageTransform, metrics.StageSerialize)},
+		{"Execute", m.Execute, sum(metrics.StageExecute)},
+		{"Convert", m.Convert, sum(metrics.StageConvert)},
+	} {
+		if c.got <= 0 {
+			t.Errorf("%s = %v, want > 0", c.name, c.got)
+		}
+		// Float rounding of the per-stage second sums only.
+		if d := c.got - c.want; d < -10 || d > 10 {
+			t.Errorf("%s = %v, stage histograms sum to %v", c.name, c.got, c.want)
+		}
+	}
+}
+
+// TestOverheadRatioWithoutTracing asserts every request that reached the
+// backend feeds the gateway-overhead histogram whether or not it is traced:
+// the ratio comes from the request's execute stage, not from its trace.
+func TestOverheadRatioWithoutTracing(t *testing.T) {
+	for _, disable := range []bool{false, true} {
+		target := dialect.CloudA()
+		eng := engine.New(target)
+		if _, err := eng.NewSession().ExecSQL(`CREATE TABLE SALES (AMOUNT DECIMAL(12,2), SALES_DATE DATE, STORE INT)`); err != nil {
+			t.Fatal(err)
+		}
+		g, err := New(Config{
+			Target:         target,
+			Driver:         &odbc.LocalDriver{Engine: eng},
+			Catalog:        eng.Catalog().Clone(),
+			DisableTracing: disable,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := g.NewLocalSession("appuser")
+		if err != nil {
+			t.Fatal(err)
+		}
+		run(t, s, "SEL COUNT(*) FROM SALES")
+		run(t, s, "SET SESSION DATEFORM = ansidate") // never reaches the backend
+		s.Close()
+		if n := g.Stages().Request.Snapshot().Count; n != 2 {
+			t.Errorf("DisableTracing=%v: request count = %d, want 2", disable, n)
+		}
+		if n := g.Stages().Overhead.Snapshot().Count; n != 1 {
+			t.Errorf("DisableTracing=%v: overhead count = %d, want 1", disable, n)
+		}
 	}
 }
 

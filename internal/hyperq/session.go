@@ -14,6 +14,7 @@ import (
 	"hyperq/internal/dialect"
 	"hyperq/internal/feature"
 	"hyperq/internal/fingerprint"
+	"hyperq/internal/metrics"
 	"hyperq/internal/odbc"
 	"hyperq/internal/odbc/pool"
 	"hyperq/internal/parser"
@@ -121,7 +122,7 @@ type Session struct {
 type reqObs struct {
 	hash     uint64
 	sql      string
-	stageNs  [wstats.NumStages]int64
+	stageNs  [metrics.NumStages]int64
 	tier     wstats.Tier
 	feats    feature.Set
 	rowsOut  int64
@@ -319,17 +320,12 @@ func (s *Session) Run(sql string) (out []*FrontResult, err error) {
 	}
 	s.translateCalls = 0
 	s.rawPlan = nil
-	sp := tr.Start("parse")
-	t0 := time.Now()
+	st := s.begin(metrics.StageParse)
 	// The previous request's AST is dead by now; rewind the arena and parse
 	// into it.
 	s.psc.Reset()
 	stmts, perr := parser.ParseWith(sql, parser.Teradata, rec, &s.psc)
-	d := time.Since(t0)
-	atomic.AddInt64(&s.g.metrics.translateNs, int64(d))
-	s.g.stages.Observe("parse", d)
-	s.ro.stageNs[wstats.StageParse] += int64(d)
-	sp.End()
+	st.end()
 	if perr != nil {
 		return nil, failf(tdp.CodeSyntaxError, "%v", perr) // 3706: syntax error
 	}
@@ -380,24 +376,15 @@ func (s *Session) runCachedRaw(sql string, rec *feature.Recorder) (out []*FrontR
 	if cache == nil {
 		return nil, false, nil
 	}
-	sp := s.tr.Start("cache")
-	t0 := time.Now()
+	st := s.begin(metrics.StageCache)
 	e := cache.get(s.cacheKey("R", sql))
-	d := time.Since(t0)
-	atomic.AddInt64(&s.g.metrics.translateNs, int64(d))
-	s.g.stages.Observe("cache", d)
-	s.ro.stageNs[wstats.StageCache] += int64(d)
 	if e == nil {
-		sp.Set("outcome", "raw-miss")
-		sp.End()
+		st.sp.Set("outcome", "raw-miss")
+		st.end()
 		return nil, false, nil
 	}
-	sp.Set("outcome", "raw-hit")
-	sp.End()
-	s.tr.SetCache("raw-hit")
-	s.ro.tier = wstats.TierExactHit
-	atomic.AddInt64(&s.g.metrics.cacheHits, 1)
-	atomic.AddInt64(&s.obsCacheHits, 1)
+	s.noteCache(st.sp, wstats.TierExactHit)
+	st.end()
 	rec.Merge(e.feats)
 	out, err = s.execTranslated(e.sql, e.cols, func(string) string { return e.cmd })
 	if err == nil {
@@ -559,59 +546,33 @@ func (s *Session) refsSessionObject(tables []string) bool {
 // SQL result means translation eliminated the statement.
 func (s *Session) translateStatement(stmt sqlast.Statement, rec *feature.Recorder) (string, []xtra.Col, error) {
 	s.translateCalls++
-	t0 := time.Now()
-	defer func() {
-		atomic.AddInt64(&s.g.metrics.translateNs, int64(time.Since(t0)))
-	}()
 	cache := s.g.cache
 	if cache == nil || !cacheableKind(stmt) {
 		return s.bindTransformSerialize(stmt, rec, false)
 	}
 	if s.macroParams != nil {
 		// Macro scope: statement text contains :params bound per EXEC.
-		atomic.AddInt64(&s.g.metrics.cacheBypass, 1)
-		s.tr.SetCache("bypass")
-		s.ro.tier = wstats.TierBypass
+		s.noteCache(nil, wstats.TierBypass)
 		return s.bindTransformSerialize(stmt, rec, false)
 	}
-	csp := s.tr.Start("cache")
-	tc := time.Now()
+	st := s.begin(metrics.StageCache)
 	fp := fingerprint.Statement(stmt)
 	if !fp.Cacheable || s.refsSessionObject(fp.Tables) {
-		atomic.AddInt64(&s.g.metrics.cacheBypass, 1)
-		dc := time.Since(tc)
-		s.g.stages.Observe("cache", dc)
-		s.ro.stageNs[wstats.StageCache] += int64(dc)
-		csp.Set("outcome", "bypass")
-		csp.End()
-		s.tr.SetCache("bypass")
-		s.ro.tier = wstats.TierBypass
+		s.noteCache(st.sp, wstats.TierBypass)
+		st.end()
 		return s.bindTransformSerialize(stmt, rec, false)
 	}
 	key := s.cacheKey("F", fp.Key)
 	if e := cache.get(key); e != nil && (!e.exact || fingerprint.LitSigEqual(e.litsig, fp.Literals)) {
-		atomic.AddInt64(&s.g.metrics.cacheHits, 1)
-		atomic.AddInt64(&s.obsCacheHits, 1)
 		rec.Merge(e.feats)
 		sql := e.tpl.Instantiate(fp.Literals)
-		dc := time.Since(tc)
-		s.g.stages.Observe("cache", dc)
-		s.ro.stageNs[wstats.StageCache] += int64(dc)
-		csp.Set("outcome", "hit")
-		csp.End()
-		s.tr.SetCache("hit")
-		s.ro.tier = wstats.TierFingerprintHit
+		s.noteCache(st.sp, wstats.TierFingerprintHit)
+		st.end()
 		s.noteRawCandidate(sql, e.cols, commandName(stmt, ""), e.feats)
 		return sql, e.cols, nil
 	}
-	atomic.AddInt64(&s.g.metrics.cacheMisses, 1)
-	dc := time.Since(tc)
-	s.g.stages.Observe("cache", dc)
-	s.ro.stageNs[wstats.StageCache] += int64(dc)
-	csp.Set("outcome", "miss")
-	csp.End()
-	s.tr.SetCache("miss")
-	s.ro.tier = wstats.TierMiss
+	s.noteCache(st.sp, wstats.TierMiss)
+	st.end()
 	// Translate with an inner recorder so the cache entry can replay the
 	// statement's features on later hits.
 	inner := &feature.Recorder{}
@@ -663,47 +624,35 @@ func (s *Session) noteRawCandidate(sql string, cols []xtra.Col, cmd string, feat
 // With lift set, serialized output carries literal placeholders
 // (fingerprint markers) instead of the lifted literal values.
 func (s *Session) bindTransformSerialize(stmt sqlast.Statement, rec *feature.Recorder, lift bool) (string, []xtra.Col, error) {
-	spb := s.tr.Start("bind")
-	tb := time.Now()
+	bst := s.begin(metrics.StageBind)
 	b := binder.New(s, parser.Teradata, rec)
 	if s.macroParams != nil {
 		b.SetParams(s.macroParams)
 	}
 	bound, err := b.Bind(stmt)
-	db := time.Since(tb)
-	s.g.stages.Observe("bind", db)
-	s.ro.stageNs[wstats.StageBind] += int64(db)
-	spb.End()
+	bst.end()
 	if err != nil {
 		return "", nil, failf(tdp.CodeSemanticError, "%v", err) // semantic error
 	}
-	spt := s.tr.Start("transform")
-	tt := time.Now()
+	tst := s.begin(metrics.StageTransform)
 	ctx := transform.NewContext(nil, rec, b.MaxColumnID())
 	mid, err := transform.BindingStage().Statement(bound, ctx)
-	dt := time.Since(tt)
-	s.g.stages.Observe("transform", dt)
-	s.ro.stageNs[wstats.StageTransform] += int64(dt)
-	if spt != nil {
+	if tst.sp != nil {
 		for _, id := range ctx.Fired().IDs() {
-			spt.Set("feature", feature.Lookup(id).Name)
+			tst.sp.Set("feature", feature.Lookup(id).Name)
 		}
 	}
-	spt.End()
+	tst.end()
 	if err != nil {
 		return "", nil, failf(tdp.CodeSemanticError, "%v", err)
 	}
-	sps := s.tr.Start("serialize")
-	ts := time.Now()
+	sst := s.begin(metrics.StageSerialize)
 	ser := serializer.New(s.g.cfg.Target, rec)
 	if lift {
 		ser.LiftLiterals()
 	}
 	sql, err := ser.Serialize(mid)
-	ds := time.Since(ts)
-	s.g.stages.Observe("serialize", ds)
-	s.ro.stageNs[wstats.StageSerialize] += int64(ds)
-	sps.End()
+	sst.end()
 	if err != nil {
 		return "", nil, failf(tdp.CodeSemanticError, "%v", err)
 	}
@@ -727,28 +676,16 @@ func (s *Session) execTranslated(sql string, frontCols []xtra.Col, cmd func(stri
 		}
 	}
 	s.tr.AddTranslated(sql)
-	sp := s.tr.Start("execute")
-	sp.Set("sql", sql)
-	t1 := time.Now()
+	ex := s.begin(metrics.StageExecute)
+	ex.sp.Set("sql", sql)
 	backendResults, err := s.be.ExecContext(s.requestCtx(), sql)
-	d := time.Since(t1)
-	atomic.AddInt64(&s.g.metrics.executeNs, int64(d))
-	s.g.stages.Observe("execute", d)
-	s.ro.stageNs[wstats.StageExecute] += int64(d)
-	sp.End()
+	ex.end()
 	if err != nil {
 		return nil, mapBackendError(err)
 	}
 	// Result conversion back to the frontend representation.
-	csp := s.tr.Start("convert")
-	t2 := time.Now()
-	defer func() {
-		dc := time.Since(t2)
-		atomic.AddInt64(&s.g.metrics.convertNs, int64(dc))
-		s.g.stages.Observe("convert", dc)
-		s.ro.stageNs[wstats.StageConvert] += int64(dc)
-		csp.End()
-	}()
+	cv := s.begin(metrics.StageConvert)
+	defer cv.end()
 	var out []*FrontResult
 	for _, br := range backendResults {
 		fr := &FrontResult{Activity: br.Affected, Command: cmd(br.Command)}

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hyperq/internal/metrics"
 	"hyperq/internal/odbc"
 	"hyperq/internal/tdf"
 	"hyperq/internal/types"
@@ -49,7 +50,7 @@ func (e *frontWriteError) Timeout() bool {
 	return errors.As(e.err, &ne) && ne.Timeout()
 }
 
-func (fw *frontWriter) begin(cols []tdp.ColumnDef) error {
+func (fw *frontWriter) beginSet(cols []tdp.ColumnDef) error {
 	if err := fw.w.BeginResultSet(cols); err != nil {
 		return &frontWriteError{err: err}
 	}
@@ -80,7 +81,7 @@ func (fw *frontWriter) writeResults(results []*FrontResult) error {
 			continue
 		}
 		if res.Cols != nil {
-			if err := fw.begin(res.Cols); err != nil {
+			if err := fw.beginSet(res.Cols); err != nil {
 				return err
 			}
 			for _, row := range res.Rows {
@@ -151,27 +152,18 @@ func (s *Session) execStreamed(se odbc.StreamExecutor, sql string, frontCols []x
 	fw := s.fw
 	defer atomic.StoreInt32(&s.midStream, 0)
 	s.tr.AddTranslated(sql)
-	sp := s.tr.Start("execute")
-	sp.Set("sql", sql)
-	sp.Set("streamed", "true")
-	t1 := time.Now()
-	var convertNs int64
+	ex := s.begin(metrics.StageExecute)
+	ex.sp.Set("sql", sql)
+	ex.sp.Set("streamed", "true")
+	var conv busyTime
 	defer func() {
-		// The execute span covers the whole pipeline wall-clock; the convert
+		// The execute stage covers the whole pipeline wall-clock; the convert
 		// stage's share is carved out so the Figure 9 split stays honest.
-		dc := time.Duration(atomic.LoadInt64(&convertNs))
-		d := time.Since(t1) - dc
-		if d < 0 {
-			d = 0
-		}
-		atomic.AddInt64(&g.metrics.executeNs, int64(d))
-		g.stages.Observe("execute", d)
-		atomic.AddInt64(&g.metrics.convertNs, int64(dc))
-		g.stages.Observe("convert", dc)
-		csp := s.tr.Start("convert")
-		csp.Set("streamed", "true")
-		csp.EndWithDuration(dc)
-		sp.EndWithDuration(d)
+		dc := conv.total()
+		cv := s.begin(metrics.StageConvert)
+		cv.sp.Set("streamed", "true")
+		cv.endWith(dc)
+		ex.endWith(max(ex.elapsed()-dc, 0))
 	}()
 
 	pctx, cancel := context.WithCancel(s.requestCtx())
@@ -275,7 +267,7 @@ func (s *Session) execStreamed(se odbc.StreamExecutor, sql string, frontCols []x
 			if item.batch != nil {
 				t := time.Now()
 				rows, err := s.convertBatch(frontCols, item.batch)
-				atomic.AddInt64(&convertNs, int64(time.Since(t)))
+				conv.since(t)
 				if err != nil {
 					item = streamItem{err: err, bytes: item.bytes, convErr: true}
 				} else {
@@ -333,7 +325,7 @@ writeLoop:
 				convFail = true
 				break writeLoop
 			}
-			if streamErr = fw.begin(cols); streamErr != nil {
+			if streamErr = fw.beginSet(cols); streamErr != nil {
 				break writeLoop
 			}
 			inResultSet = true

@@ -214,6 +214,38 @@ func TestStreamingBackpressureBoundsResultMemory(t *testing.T) {
 	}
 }
 
+// A streamed statement's /statements entry keeps the execute/convert split
+// the gateway histograms record for it.
+func TestStreamingStatementStageSplit(t *testing.T) {
+	target := dialect.CloudA()
+	eng := bigTableEngine(t, target, 8) // 512 rows
+	st := newStreamStack(t, target, eng, Config{}, tdp.Options{})
+	c, err := tdp.Dial(st.addr, "appuser", "pw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Request("SEL PAD FROM BIG"); err != nil {
+		t.Fatal(err)
+	}
+	if n := st.g.MetricsSnapshot().StreamedResults; n != 1 {
+		t.Fatalf("streamed results = %d, want 1", n)
+	}
+	var found bool
+	for _, stat := range st.g.Statements().Snapshot("calls", 0).Statements {
+		if stat.Streamed == 0 {
+			continue
+		}
+		found = true
+		if stat.StageNs["execute"] <= 0 || stat.StageNs["convert"] <= 0 {
+			t.Errorf("streamed statement stageNs = %v, want execute and convert > 0", stat.StageNs)
+		}
+	}
+	if !found {
+		t.Fatal("no streamed statement in the registry")
+	}
+}
+
 // A client that stops reading entirely is evicted once a frontend write
 // stalls past the write deadline; the gauge drains and the gateway stays
 // healthy for other sessions.

@@ -15,7 +15,8 @@ import (
 // The gateway is full of resources whose lifetime is a strict pair: a pool
 // slot reservation must be un-reserved when the dial fails (the PR 4 warm-up
 // leak starved the pool for the rest of the process), a result stream must
-// be closed or handed to an owner, an exemplar trace pin must be unpinned or
+// be closed or handed to an owner, a pipeline stage timer must be ended (it
+// owns the stage's trace span, so this is spanend's check for stage spans), an exemplar trace pin must be unpinned or
 // recorded for a later unpin, and a result-memory reservation must be
 // released or attached to the batch that carries it through the pipeline.
 // The analyzer walks the control-flow graph from each acquire and reports
@@ -76,6 +77,7 @@ var (
 		{pkg: "pool", acquire: "ExecStream", releaseMethods: []string{"Close"}, what: "result stream"},
 		{pkg: "odbc", acquire: "ExecStream", releaseMethods: []string{"Close"}, what: "result stream"},
 		{pkg: "odbc", acquire: "OpenStream", releaseMethods: []string{"Close"}, what: "result stream"},
+		{pkg: "hyperq", acquire: "begin", releaseMethods: []string{"end", "endWith"}, what: "stage timer"},
 	}
 	leakCounterSpecs = []leakCounterSpec{
 		{pkg: "pool", acquire: "reserveSlot", release: "unreserveSlot", what: "pool slot reservation"},

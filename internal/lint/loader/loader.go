@@ -164,91 +164,6 @@ func (l *Loader) ensureMetas(need []string) error {
 	return err
 }
 
-// Target is one listed package's metadata: its own source files plus the
-// import paths of everything its analysis depends on. Enough for a caller
-// to fingerprint the package's inputs (lint result caching) without paying
-// for type-checking.
-type Target struct {
-	ImportPath   string
-	Dir          string
-	GoFiles      []string // relative to Dir
-	TestGoFiles  []string
-	XTestGoFiles []string
-	// Deps is the transitive dependency closure of the package and its test
-	// files (import paths; resolve each with Meta).
-	Deps []string
-}
-
-// List resolves the go command patterns to targets with full dependency
-// metadata, without type-checking anything.
-func (l *Loader) List(patterns ...string) ([]Target, error) {
-	l.init()
-	targets, err := l.goList(patterns...)
-	if err != nil {
-		return nil, err
-	}
-	need := make([]string, 0, len(targets))
-	for _, t := range targets {
-		need = append(need, t.ImportPath)
-		need = append(need, t.TestImports...)
-		need = append(need, t.XTestImports...)
-	}
-	if err := l.ensureMetas(need); err != nil {
-		return nil, err
-	}
-	var out []Target
-	for _, t := range targets {
-		if len(t.GoFiles) == 0 && len(t.TestGoFiles) == 0 && len(t.XTestGoFiles) == 0 {
-			continue
-		}
-		deps := make(map[string]bool)
-		add := func(path string) {
-			if path != "unsafe" && path != "C" && path != t.ImportPath {
-				deps[path] = true
-			}
-		}
-		for _, d := range t.Deps {
-			add(d)
-		}
-		// Test imports bring their own closures (already fetched with -deps
-		// by ensureMetas).
-		for _, ti := range append(append([]string{}, t.TestImports...), t.XTestImports...) {
-			add(ti)
-			if m, ok := l.metas[ti]; ok {
-				for _, d := range m.Deps {
-					add(d)
-				}
-			}
-		}
-		sorted := make([]string, 0, len(deps))
-		for d := range deps {
-			sorted = append(sorted, d)
-		}
-		sort.Strings(sorted)
-		out = append(out, Target{
-			ImportPath:   t.ImportPath,
-			Dir:          t.Dir,
-			GoFiles:      t.GoFiles,
-			TestGoFiles:  t.TestGoFiles,
-			XTestGoFiles: t.XTestGoFiles,
-			Deps:         sorted,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ImportPath < out[j].ImportPath })
-	return out, nil
-}
-
-// Meta returns the source metadata for an import path previously pulled in
-// by List (targets and their dependency closures).
-func (l *Loader) Meta(path string) (dir string, goFiles []string, ok bool) {
-	l.init()
-	m, found := l.metas[path]
-	if !found {
-		return "", nil, false
-	}
-	return m.Dir, m.GoFiles, true
-}
-
 // Load type-checks the packages matching the go command patterns and
 // returns their analyzer units: the test-augmented unit when the package
 // has in-package tests (plus an external-test unit when it has _test

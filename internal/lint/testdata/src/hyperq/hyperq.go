@@ -53,3 +53,47 @@ func (g *Gateway) fetchDeferred(size int64) {
 	defer g.releaseResultBytes(size)
 	work()
 }
+
+// Session and stageTimer stub the gateway's per-stage recording call: begin
+// yields a timer that end or endWith must close on every path.
+type Session struct{}
+
+type stageTimer struct{ sp *int }
+
+func (s *Session) begin(stage int) stageTimer  { return stageTimer{} }
+func (st stageTimer) end()                     {}
+func (st stageTimer) endWith(d int64)          {}
+func (st stageTimer) elapsed() int64           { return 0 }
+func (s *Session) noteCache(sp *int, tier int) {}
+
+// stageLeaky returns early without closing the timer: the stage's span and
+// time are lost.
+func (s *Session) stageLeaky(fail bool) error {
+	st := s.begin(0)
+	if fail {
+		return nil // want `stage timer from begin is not released on this path`
+	}
+	st.end()
+	return nil
+}
+
+// stageEnded closes the timer before the branch; field reads and other
+// methods on it are benign.
+func (s *Session) stageEnded(fail bool) error {
+	st := s.begin(0)
+	s.noteCache(st.sp, 1)
+	st.end()
+	if fail {
+		return nil
+	}
+	return nil
+}
+
+// stageCarved closes a deferred timer with an externally measured duration.
+func (s *Session) stageCarved() {
+	ex := s.begin(5)
+	defer func() {
+		ex.endWith(ex.elapsed())
+	}()
+	work()
+}

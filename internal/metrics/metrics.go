@@ -90,13 +90,16 @@ type Snapshot struct {
 	Sum    float64   `json:"sum"`
 }
 
+// Sum returns the running sum of the observed values.
+func (h *Histogram) Sum() float64 { return math.Float64frombits(atomic.LoadUint64(&h.sum)) }
+
 // Snapshot copies the current state.
 func (h *Histogram) Snapshot() Snapshot {
 	s := Snapshot{
 		Bounds: h.bounds,
 		Counts: make([]int64, len(h.counts)),
 		Count:  atomic.LoadInt64(&h.count),
-		Sum:    math.Float64frombits(atomic.LoadUint64(&h.sum)),
+		Sum:    h.Sum(),
 	}
 	for i := range h.counts {
 		s.Counts[i] = atomic.LoadInt64(&h.counts[i])
@@ -149,15 +152,34 @@ func (s Snapshot) Mean() float64 {
 	return s.Sum / float64(s.Count)
 }
 
-// StageNames lists the pipeline stages in execution order. "cache" is the
-// translation-cache lookup; the remaining six are the translate/execute
-// pipeline of the paper's Figure 3.
-var StageNames = []string{"parse", "bind", "transform", "serialize", "cache", "execute", "convert"}
+// Stage indexes the gateway's pipeline stages, in execution order. "cache"
+// is the translation-cache lookup; the remaining six are the
+// translate/execute pipeline of the paper's Figure 3. This is the one
+// definition of the stage list: the stage histograms, the /metrics series,
+// the per-request trace spans and the per-fingerprint time split all index
+// or name stages through it.
+type Stage uint8
+
+const (
+	StageParse Stage = iota
+	StageBind
+	StageTransform
+	StageSerialize
+	StageCache
+	StageExecute
+	StageConvert
+	NumStages
+)
+
+var stageNames = [NumStages]string{"parse", "bind", "transform", "serialize", "cache", "execute", "convert"}
+
+// String returns the stage's name, as used for span names and labels.
+func (s Stage) String() string { return stageNames[s] }
 
 // Stages bundles the gateway's per-stage histograms plus the whole-request
 // latency and per-request overhead-ratio histograms.
 type Stages struct {
-	byName map[string]*Histogram
+	byStage [NumStages]*Histogram
 	// Request observes whole-request wall time (seconds).
 	Request *Histogram
 	// Overhead observes the per-request gateway-overhead fraction
@@ -169,29 +191,26 @@ type Stages struct {
 // NewStages creates the standard stage set.
 func NewStages() *Stages {
 	s := &Stages{
-		byName:   make(map[string]*Histogram, len(StageNames)),
 		Request:  New(DurationBuckets()),
 		Overhead: New(RatioBuckets()),
 	}
-	for _, name := range StageNames {
-		s.byName[name] = New(DurationBuckets())
+	for i := range s.byStage {
+		s.byStage[i] = New(DurationBuckets())
 	}
 	return s
 }
 
-// Observe records one stage duration. Unknown stage names are ignored.
-func (s *Stages) Observe(stage string, d time.Duration) {
-	if h, ok := s.byName[stage]; ok {
-		h.ObserveDuration(d)
-	}
-}
+// Stage returns the stage's histogram.
+func (s *Stages) Stage(st Stage) *Histogram { return s.byStage[st] }
 
-// Stage returns the named stage histogram (nil when unknown).
-func (s *Stages) Stage(name string) *Histogram { return s.byName[name] }
+// Total returns the time recorded by a stage histogram.
+func (s *Stages) Total(st Stage) time.Duration {
+	return time.Duration(s.byStage[st].Sum() * float64(time.Second))
+}
 
 // Reset zeroes every histogram.
 func (s *Stages) Reset() {
-	for _, h := range s.byName {
+	for _, h := range s.byStage {
 		h.Reset()
 	}
 	s.Request.Reset()

@@ -291,16 +291,6 @@ func (t *Trace) Duration() time.Duration {
 	return time.Duration(t.DurNs)
 }
 
-// Stage returns the accumulated duration of the named stage.
-func (t *Trace) Stage(name string) time.Duration {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return time.Duration(t.StageNs[name])
-}
-
 // FindSpan returns the first span with the given name in depth-first order,
 // or nil. Intended for tests and diagnostics on finished traces.
 func (t *Trace) FindSpan(name string) *Span {

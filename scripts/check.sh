@@ -18,9 +18,8 @@ go vet ./...
 # frontend code registry, context propagation, wire error handling, plus the
 # data-flow suite: resource leaks, SQL taint, sentinel comparisons, atomics
 # discipline — see DESIGN.md §10 and §15). Any diagnostic fails the build.
-# Results are cached under $TMPDIR/hyperqlint-cache keyed by file-content
-# hashes; the timing line shows the analyzed/cached split (a warm run over
-# an unchanged tree replays in well under a second).
+# Every run analyzes every package (no result cache); the timing line shows
+# the unit count and wall time.
 go build -o "$tmpdir/hyperqlint" ./cmd/hyperqlint
 "$tmpdir/hyperqlint" ./...
 
